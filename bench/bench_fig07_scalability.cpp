@@ -36,6 +36,8 @@ Scenario make_scenario(int jobs) {
 
   s.ctx.spec = &s.spec;
   s.ctx.round_length = 360.0;
+  s.ctx.jobs_epoch = 1;  // one fixed job set on one fixed cluster
+  s.ctx.cluster_epoch = 1;
   for (const auto& j : s.trace.jobs) {
     sim::JobView v;
     v.spec = &j;

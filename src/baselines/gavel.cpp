@@ -19,47 +19,18 @@ const char* to_string(GavelPolicy p) {
 
 // ------------------------------------------------------------- priority ---
 
-bool GavelChangeStage::job_set_changed(const sim::SchedulerContext& ctx) {
-  GavelPipelineState& s = *st_;
-  if (ctx.jobs_epoch != 0) {
-    // The simulator bumps the epoch exactly when the runnable set changes,
-    // so one integer compare replaces the per-round id-set rebuild.
-    const bool changed = ctx.jobs_epoch != s.last_epoch;
-    s.last_epoch = ctx.jobs_epoch;
-    return changed;
-  }
-  // Epoch-less context (hand-built in tests/tools): id-signature fallback.
-  s.ids_scratch.clear();
-  for (const auto& j : ctx.jobs) s.ids_scratch.push_back(j.id());
-  if (s.ids_scratch == s.active_ids) return false;
-  s.active_ids.swap(s.ids_scratch);
-  return true;
-}
-
-bool GavelChangeStage::cluster_changed(const sim::SchedulerContext& ctx) {
-  GavelPipelineState& s = *st_;
-  if (ctx.cluster_epoch != 0) {
-    const bool changed = ctx.cluster_epoch != s.last_cluster_epoch;
-    s.last_cluster_epoch = ctx.cluster_epoch;
-    return changed;
-  }
-  // Epoch-less context: per-type capacity signature fallback.
-  s.caps_scratch.clear();
-  for (GpuTypeId r = 0; r < ctx.spec->num_types(); ++r) {
-    s.caps_scratch.push_back(ctx.spec->total_of_type(r));
-  }
-  if (s.caps_scratch == s.last_caps) return false;
-  s.last_caps.swap(s.caps_scratch);
-  return true;
-}
-
 void GavelChangeStage::prioritize(pipeline::RoundState& rs) {
   GavelPipelineState& s = *st_;
-  // Refresh Y on job arrival/completion events and topology changes. A
-  // topology change also drops the warm-start basis: the cached LP operated
-  // on different capacities, so its basis may be infeasible for the new one.
-  const bool jobs_changed = job_set_changed(*rs.ctx);
-  const bool topo_changed = cluster_changed(*rs.ctx);
+  const sim::SchedulerContext& ctx = *rs.ctx;
+  sim::require_epochs(ctx, "Gavel");
+  // Refresh Y on job arrival/completion events and topology changes; the
+  // context bumps each epoch exactly when one happens. A topology change
+  // also drops the warm-start basis: the cached LP operated on different
+  // capacities, so its basis may be infeasible for the new one.
+  const bool jobs_changed = ctx.jobs_epoch != s.last_epoch;
+  const bool topo_changed = ctx.cluster_epoch != s.last_cluster_epoch;
+  s.last_epoch = ctx.jobs_epoch;
+  s.last_cluster_epoch = ctx.cluster_epoch;
   if (topo_changed) s.lp_ctx.clear();
   s.needs_solve = jobs_changed || topo_changed;
 }
@@ -68,25 +39,18 @@ void GavelChangeStage::reset() {
   GavelPipelineState& s = *st_;
   s.last_epoch = 0;
   s.last_cluster_epoch = 0;
-  s.active_ids.clear();
-  s.last_caps.clear();
   s.needs_solve = false;
 }
 
 void GavelChangeStage::save_state(common::BinaryWriter& w) const {
-  const GavelPipelineState& s = *st_;
-  w.u64(s.last_epoch);
-  w.u64(s.last_cluster_epoch);
-  common::write_i32_vector(w, s.active_ids);
-  common::write_i32_vector(w, s.last_caps);
+  w.u64(st_->last_epoch);
+  w.u64(st_->last_cluster_epoch);
 }
 
 void GavelChangeStage::restore_state(common::BinaryReader& r) {
   GavelPipelineState& s = *st_;
   s.last_epoch = r.u64();
   s.last_cluster_epoch = r.u64();
-  s.active_ids = common::read_i32_vector(r);
-  s.last_caps = common::read_i32_vector(r);
 }
 
 // ----------------------------------------------------------- allocation ---
@@ -127,10 +91,9 @@ void GavelLpStage::recompute_allocation(const sim::SchedulerContext& ctx) {
     p.key.push_back(job.id());
   }
 
-  solver::MaxMinContext* lp_ctx = s.cfg.warm_start ? &s.lp_ctx : nullptr;
   const solver::MaxMinSolution sol = s.cfg.policy == GavelPolicy::kMaxSumThroughput
-                                         ? solver::solve_max_sum(p, s.cfg.solver, lp_ctx)
-                                         : solver::solve_max_min(p, s.cfg.solver, lp_ctx);
+                                         ? solver::solve_max_sum(p, s.cfg.solver, &s.lp_ctx)
+                                         : solver::solve_max_min(p, s.cfg.solver, &s.lp_ctx);
   s.y.clear();
   for (std::size_t i = 0; i < ctx.jobs.size(); ++i) {
     s.y[ctx.jobs[i].id()] =

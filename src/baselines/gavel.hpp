@@ -10,11 +10,11 @@
 // task-level mixing removes.
 //
 // Stage split: the priority stage detects job-set/topology change events
-// (SchedulerContext::jobs_epoch with an id-signature fallback) and flags a
-// refresh; the allocation stage runs the LP solve — warm-started across
-// events through a solver::MaxMinContext — rebuilds Y, and emits the sorted
-// (job, type) priority entries; the shared greedy placement stage packs
-// them with take_homogeneous().
+// (SchedulerContext::jobs_epoch / cluster_epoch, which must be nonzero) and
+// flags a refresh; the allocation stage runs the LP solve — warm-started
+// across events through a solver::MaxMinContext — rebuilds Y, and emits the
+// sorted (job, type) priority entries; the shared greedy placement stage
+// packs them with take_homogeneous().
 #pragma once
 
 #include <cstdint>
@@ -45,24 +45,18 @@ struct GavelConfig {
   solver::MaxMinOptions solver;
   /// Priority denominator smoothing: priority = Y / (rounds_on_type + eps).
   double rounds_epsilon = 1.0;
-  /// Warm-start the allocation LP from the previous event's optimal basis
-  /// (revised engine only). Canonical extraction makes the solutions
-  /// identical with this on or off; the switch exists for A/B benchmarks.
-  bool warm_start = true;
 };
 
-/// The core the Gavel stages share. The change-detection signatures are
-/// owned (reset/persisted) by the priority stage, the Y matrix by the
-/// allocation stage; needs_solve is a per-round flag the priority stage
-/// writes and the allocation stage consumes.
+/// The core the Gavel stages share. The last-seen epochs are owned
+/// (reset/persisted) by the priority stage, the Y matrix by the allocation
+/// stage; needs_solve is a per-round flag the priority stage writes and the
+/// allocation stage consumes. The LP is always warm-started from the
+/// previous event's optimal basis; canonical extraction makes that
+/// invisible in the solutions.
 struct GavelPipelineState {
   GavelConfig cfg;
   std::uint64_t last_epoch = 0;             ///< last ctx.jobs_epoch acted on
   std::uint64_t last_cluster_epoch = 0;     ///< last ctx.cluster_epoch acted on
-  std::vector<JobId> active_ids;            ///< signature for epoch-less contexts
-  std::vector<JobId> ids_scratch;
-  std::vector<int> last_caps;               ///< per-type capacity signature
-  std::vector<int> caps_scratch;
   std::map<JobId, std::vector<double>> y;   ///< time-fraction rows
   solver::MaxMinContext lp_ctx;             ///< warm-start basis across events
   solver::MaxMinProblem problem;            ///< reused LP input buffers
@@ -72,6 +66,7 @@ struct GavelPipelineState {
 /// Priority: event detection. Flags a Y refresh on job-set changes and
 /// topology changes (the latter also drops the warm-start basis: the cached
 /// LP operated on different capacities, so its basis may be infeasible).
+/// Throws std::invalid_argument on a context with a zero epoch.
 class GavelChangeStage final : public pipeline::IPriorityStage {
  public:
   explicit GavelChangeStage(std::shared_ptr<GavelPipelineState> st) : st_(std::move(st)) {}
@@ -82,9 +77,6 @@ class GavelChangeStage final : public pipeline::IPriorityStage {
   void restore_state(common::BinaryReader& r) override;
 
  private:
-  bool job_set_changed(const sim::SchedulerContext& ctx);
-  bool cluster_changed(const sim::SchedulerContext& ctx);
-
   std::shared_ptr<GavelPipelineState> st_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "baselines/alloc_util.hpp"
+#include "cluster/placement.hpp"
 
 namespace hadar::baselines {
 
@@ -34,7 +34,7 @@ cluster::AllocationMap SrtfScheduler::schedule(const sim::SchedulerContext& ctx)
     std::sort(usable.begin(), usable.end(), [&](GpuTypeId a, GpuTypeId b) {
       return job->throughput_on(a) > job->throughput_on(b);
     });
-    auto alloc = take_in_type_order(state, usable, job->spec->num_workers);
+    auto alloc = cluster::take_in_type_order(state, usable, job->spec->num_workers);
     if (!alloc) continue;
     state.allocate(*alloc);
     result.emplace(job->id(), std::move(*alloc));

@@ -7,11 +7,12 @@ namespace hadar::baselines {
 
 void YarnAdmissionStage::admit(pipeline::RoundState& rs) {
   const sim::SchedulerContext& ctx = *rs.ctx;
+  sim::require_epochs(ctx, "YARN-CS");
 
   // Drop finished jobs (present in running_, absent from the context). The
   // O(running * jobs) scan only pays off when the runnable set actually
-  // changed; epoch-less contexts (jobs_epoch == 0) always scan.
-  if (ctx.jobs_epoch == 0 || ctx.jobs_epoch != last_epoch_) {
+  // changed.
+  if (ctx.jobs_epoch != last_epoch_) {
     last_epoch_ = ctx.jobs_epoch;
     for (auto it = running_.begin(); it != running_.end();) {
       if (ctx.find(it->first) == nullptr) {

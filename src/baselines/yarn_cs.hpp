@@ -30,7 +30,8 @@ struct YarnConfig {
 };
 
 /// Admission: the non-preemptive running set. Surviving placements are
-/// pinned straight into state/result; everything else queues FIFO.
+/// pinned straight into state/result; everything else queues FIFO. Throws
+/// std::invalid_argument on a context with a zero epoch.
 class YarnAdmissionStage final : public pipeline::IAdmissionStage {
  public:
   std::string name() const override { return "yarn.admission"; }

@@ -1,8 +1,7 @@
-// Greedy gang-placement helpers shared by the baseline schedulers and the
-// sharded scheduler's cross-cell migration pass: gang-sized grabs of free
-// devices with consolidation-first node choice. Moved here from
-// baselines/alloc_util so layers below baselines (the cell orchestrator in
-// sim/) can reuse them.
+// Greedy gang-placement helpers shared by the baseline schedulers, the
+// pipeline's greedy placement stage, and the sharded scheduler's cross-cell
+// migration pass: gang-sized grabs of free devices with consolidation-first
+// node choice. They live in cluster/ so every layer above it can use them.
 #pragma once
 
 #include <optional>

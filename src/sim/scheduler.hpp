@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,14 +70,14 @@ struct SchedulerContext {
   NetworkModel network;
   /// Bumped whenever the runnable-job set changes (an arrival is admitted or
   /// a job finishes), so schedulers can skip re-deriving job-set-dependent
-  /// state on the common no-change round. 0 means "no epoch information"
-  /// (e.g. hand-built contexts in tests): schedulers must then fall back to
-  /// comparing job ids.
+  /// state on the common no-change round. Every context must carry one: the
+  /// stream starts at 1, and 0 marks a malformed context (see
+  /// require_epochs). Whoever builds a context by hand stamps it.
   std::uint64_t jobs_epoch = 0;
   /// Bumped whenever cluster topology changes (a node fails/recovers or a
   /// device degrades/restores), so schedulers invalidate capacity-dependent
-  /// caches (warm-started LP bases, sticky allocations). 0 means "no epoch
-  /// information": schedulers must fall back to comparing capacities.
+  /// caches (warm-started LP bases, sticky allocations). Mandatory and
+  /// nonzero, like jobs_epoch.
   std::uint64_t cluster_epoch = 0;
   /// Runnable jobs: arrived and not finished. Order is arrival order.
   std::vector<JobView> jobs;
@@ -93,6 +94,16 @@ struct SchedulerContext {
     return nullptr;
   }
 };
+
+/// Rejects a context without epochs. Schedulers that key cached state on
+/// jobs_epoch / cluster_epoch call this before trusting them, so a context
+/// that forgot to stamp them fails loudly instead of reusing stale state.
+inline void require_epochs(const SchedulerContext& ctx, const char* who) {
+  if (ctx.jobs_epoch == 0 || ctx.cluster_epoch == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": SchedulerContext has a zero jobs_epoch or cluster_epoch");
+  }
+}
 
 /// Round-based scheduling policy.
 class IScheduler {

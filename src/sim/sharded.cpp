@@ -77,7 +77,6 @@ void ShardedScheduler::reset() {
   resolved_cells_ = 0;
   topo_version_ = 1;
   seen_cluster_epoch_ = 0;
-  cap_signature_.clear();
   merge_state_.clear();  // held spec pointers die with layout_
 }
 
@@ -86,22 +85,11 @@ void ShardedScheduler::ensure_cells(const SchedulerContext& ctx) {
   const int want = cfg_.cells == 0 ? cluster::auto_cells(spec.num_nodes()) : cfg_.cells;
   const int K = std::clamp(want, 1, std::max(1, spec.num_nodes()));
 
-  // Topology-change detection: trust cluster_epoch when the caller maintains
-  // one; otherwise compare the dense per-(node, type) capacity signature.
-  bool changed = false;
-  if (ctx.cluster_epoch != 0) {
-    changed = seen_cluster_epoch_ != 0 && ctx.cluster_epoch != seen_cluster_epoch_;
-    seen_cluster_epoch_ = ctx.cluster_epoch;
-  } else {
-    cap_scratch_.clear();
-    cap_scratch_.reserve(static_cast<std::size_t>(spec.num_nodes()) *
-                         static_cast<std::size_t>(spec.num_types()));
-    for (const auto& n : spec.nodes()) {
-      for (GpuTypeId r = 0; r < spec.num_types(); ++r) cap_scratch_.push_back(n.capacity(r));
-    }
-    changed = !cap_signature_.empty() && cap_scratch_ != cap_signature_;
-    cap_signature_.swap(cap_scratch_);
-  }
+  // Topology-change detection: the caller bumps cluster_epoch exactly when
+  // capacities change.
+  require_epochs(ctx, "ShardedScheduler");
+  const bool changed = seen_cluster_epoch_ != 0 && ctx.cluster_epoch != seen_cluster_epoch_;
+  seen_cluster_epoch_ = ctx.cluster_epoch;
 
   if (layout_ && !changed && resolved_cells_ == K) return;
   if (layout_) ++topo_version_;  // repartition invalidates cell-local caches
@@ -418,21 +406,17 @@ void ShardedScheduler::save_state(common::BinaryWriter& w) const {
     flat_->save_state(w);
     return;
   }
-  w.u8(2);  // sharded-state version (2: + per-entry arrival guards)
+  w.u8(kStateVersion);
   w.i32(resolved_cells_);
   w.u64(topo_version_);
   w.i64(migrations_);
-  w.u32(static_cast<std::uint32_t>(home_.size()));
-  for (const auto& [id, e] : home_) {
-    w.i32(id);
-    w.i32(e.value);
-    w.f64(e.arrival);
-  }
-  w.u32(static_cast<std::uint32_t>(starved_.size()));
-  for (const auto& [id, e] : starved_) {
-    w.i32(id);
-    w.i32(e.value);
-    w.f64(e.arrival);
+  for (const auto* entries : {&home_, &starved_}) {
+    w.u32(static_cast<std::uint32_t>(entries->size()));
+    for (const auto& [id, e] : *entries) {
+      w.i32(id);
+      w.i32(e.value);
+      w.f64(e.arrival);
+    }
   }
   if (resolved_cells_ > 1) {
     for (const Cell& cell : cells_) {
@@ -450,35 +434,29 @@ void ShardedScheduler::restore_state(common::BinaryReader& r) {
     flat_->restore_state(r);
     return;
   }
+  // State is read back only by the build that wrote it (DESIGN.md §11):
+  // any other version is rejected, never migrated.
   const std::uint8_t version = r.u8();
-  if (version != 1 && version != 2) {
-    throw std::runtime_error("ShardedScheduler: unknown state version");
+  if (version != kStateVersion) {
+    throw std::runtime_error("ShardedScheduler: unsupported state version " +
+                             std::to_string(version));
   }
   resolved_cells_ = r.i32();
   topo_version_ = r.u64();
   migrations_ = r.i64();
-  // Version-1 entries carry no arrival guard; restore them with the
-  // match-anything sentinel so legacy snapshots stay loadable.
-  home_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const JobId id = r.i32();
-    const int cell = r.i32();
-    const Seconds arrival = version >= 2 ? r.f64() : kAnyArrival;
-    home_.emplace(id, JobEntry{cell, arrival});
-  }
-  starved_.clear();
-  const std::uint32_t ns = r.u32();
-  for (std::uint32_t i = 0; i < ns; ++i) {
-    const JobId id = r.i32();
-    const int rounds = r.i32();
-    const Seconds arrival = version >= 2 ? r.f64() : kAnyArrival;
-    starved_.emplace(id, JobEntry{rounds, arrival});
-  }
+  const auto read_entries = [&r](std::map<JobId, JobEntry>& out) {
+    out.clear();
+    for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
+      const JobId id = r.i32();
+      const int value = r.i32();
+      out.emplace(id, JobEntry{value, r.f64()});
+    }
+  };
+  read_entries(home_);
+  read_entries(starved_);
   cells_.clear();
   layout_.reset();  // rebuilt from the spec on the next schedule()
   seen_cluster_epoch_ = 0;
-  cap_signature_.clear();
   if (resolved_cells_ > 1) {
     cells_.resize(static_cast<std::size_t>(resolved_cells_));
     for (Cell& cell : cells_) {

@@ -107,6 +107,7 @@ class ShardedScheduler final : public IScheduler {
 
   /// Resolves the cell count, (re)builds the partition when topology
   /// changed, and creates per-cell schedulers on first use.
+  /// Throws std::invalid_argument on a context with a zero epoch.
   void ensure_cells(const SchedulerContext& ctx);
   /// Fills job_cell_[i] for every ctx.jobs[i] and refreshes home_.
   void route_jobs(const SchedulerContext& ctx);
@@ -129,15 +130,15 @@ class ShardedScheduler final : public IScheduler {
     int value = 0;        ///< home cell, resp. consecutive unplaced rounds
     Seconds arrival = 0;  ///< arrival of the job this entry belongs to
   };
-  /// Arrival sentinel for entries restored from version-1 state (which
-  /// lacked the guard): matches any job. Real arrivals are never negative.
-  static constexpr Seconds kAnyArrival = -1.0;
-
   /// True when `e` was recorded for this job and not for a finished job
   /// whose id got recycled.
   static bool same_job(const JobEntry& e, const JobView& j) {
-    return e.arrival == kAnyArrival || e.arrival == j.spec->arrival;
+    return e.arrival == j.spec->arrival;
   }
+
+  /// The only persisted-state layout restore_state() accepts (2: entries
+  /// carry their arrival guard).
+  static constexpr std::uint8_t kStateVersion = 2;
 
   int resolved_cells_ = 0;
   std::optional<cluster::CellLayout> layout_;
@@ -147,12 +148,9 @@ class ShardedScheduler final : public IScheduler {
   std::vector<int> job_cell_;          ///< per-round: cell of ctx.jobs[i]
   long long migrations_ = 0;
 
-  /// Topology-change detection: cluster_epoch when available, else a dense
-  /// per-(node, type) capacity signature.
+  /// Topology-change detection from the caller's cluster_epoch stream.
   std::uint64_t topo_version_ = 1;   ///< handed to cells as cluster_epoch
   std::uint64_t seen_cluster_epoch_ = 0;
-  std::vector<int> cap_signature_;
-  std::vector<int> cap_scratch_;
 
   // Per-round merge/refinement scratch, persistent so the hot path stops
   // reconstructing K ClusterStates (and assorted vectors) every round.

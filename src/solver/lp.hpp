@@ -1,8 +1,8 @@
-// Linear-programming front end shared by two engines: the dense two-phase
-// tableau simplex below (kept as the verification fallback) and the sparse
-// revised simplex in revised_simplex.hpp. Constraint rows are stored
-// sparsely — the Gavel allocation LPs touch only R+1 of their 1+J*R
-// variables per row — and are validated/compressed once at add time.
+// Linear-programming front end for the sparse revised simplex engine
+// (revised_simplex.hpp): the problem, its solution, and the solver options.
+// Constraint rows are stored sparsely — the Gavel allocation LPs touch only
+// R+1 of their 1+J*R variables per row — and are validated/compressed once
+// at add time.
 #pragma once
 
 #include <vector>
@@ -70,9 +70,5 @@ struct SimplexOptions {
   int max_iterations = 50000;
   double eps = 1e-9;
 };
-
-/// Solves with the dense two-phase tableau simplex. Deterministic (Bland's
-/// rule). Kept as the verification fallback for the revised engine.
-LpSolution solve(const LpProblem& lp, const SimplexOptions& opts = {});
 
 }  // namespace hadar::solver

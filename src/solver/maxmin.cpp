@@ -42,12 +42,11 @@ std::int64_t key_of(const MaxMinProblem& p, int j) {
   return p.key.empty() ? j : p.key[static_cast<std::size_t>(j)];
 }
 
-// Dispatches one LP solve through the configured engine. The revised engine
-// warm-starts from `lpctx` when given; any non-optimal revised outcome
-// retries once on the dense tableau (a pure function of the LP, so the
-// fallback stays deterministic) after dropping the stale warm basis.
-LpSolution solve_dispatch(const LpProblem& lp, const LpLabels& labels, int max_iterations,
-                          LpEngine engine, LpContext* lpctx) {
+// Runs one LP solve, warm-started from `lpctx` when given. A non-optimal
+// outcome leaves the caller to report infeasible; LpContext::solve has
+// already dropped the warm basis.
+LpSolution solve_lp(const LpProblem& lp, const LpLabels& labels, int max_iterations,
+                    LpContext* lpctx) {
   obs::ScopedSpan span("lp", "lp.solve", 1);
   if (span.active()) {
     span.arg("rows", static_cast<double>(lp.num_constraints()));
@@ -56,35 +55,18 @@ LpSolution solve_dispatch(const LpProblem& lp, const LpLabels& labels, int max_i
   obs::count("lp.solves");
   SimplexOptions opts;
   opts.max_iterations = max_iterations;
-  if (engine == LpEngine::kDense) return solve(lp, opts);
-  LpSolution sol = lpctx != nullptr ? lpctx->solve(lp, labels, opts)
-                                    : solve_revised(lp, opts);
-  if (sol.status != LpStatus::kOptimal && sol.status != LpStatus::kInfeasible &&
-      sol.status != LpStatus::kUnbounded) {
-    if (lpctx != nullptr) lpctx->clear();
-    obs::count("lp.dense_fallbacks");
-    sol = solve(lp, opts);
-  }
+  const LpSolution sol = lpctx != nullptr ? lpctx->solve(lp, labels, opts)
+                                          : solve_revised(lp, opts);
+  if (sol.status != LpStatus::kOptimal) obs::count("lp.non_optimal");
   if (span.active()) span.str_arg("status", to_string(sol.status));
   return sol;
 }
 
-// Drops the warm-start bases when the capacity vector changed since the
-// last solve with this context (labels only track the job set, not caps).
-void refresh_cap_signature(MaxMinContext* ctx, const MaxMinProblem& p) {
-  if (ctx == nullptr) return;
-  if (ctx->cap_signature != p.cap) {
-    ctx->clear();
-    ctx->cap_signature = p.cap;
-  }
-}
-
 }  // namespace
 
-MaxMinSolution solve_max_min_lp(const MaxMinProblem& p, int max_iterations, LpEngine engine,
+MaxMinSolution solve_max_min_lp(const MaxMinProblem& p, int max_iterations,
                                 MaxMinContext* ctx) {
   check(p);
-  refresh_cap_signature(ctx, p);
   const int J = static_cast<int>(p.rate.size());
   const int R = static_cast<int>(p.cap.size());
   MaxMinSolution sol;
@@ -139,8 +121,8 @@ MaxMinSolution solve_max_min_lp(const MaxMinProblem& p, int max_iterations, LpEn
     labels.row.push_back(-(r + 1));
   }
 
-  const LpSolution lsol = solve_dispatch(lp, labels, max_iterations, engine,
-                                         ctx != nullptr ? &ctx->max_min : nullptr);
+  const LpSolution lsol =
+      solve_lp(lp, labels, max_iterations, ctx != nullptr ? &ctx->max_min : nullptr);
   if (lsol.status != LpStatus::kOptimal) return sol;  // infeasible/limit => !feasible
 
   sol.feasible = true;
@@ -277,18 +259,17 @@ MaxMinSolution solve_max_min_filling(const MaxMinProblem& p) {
 MaxMinSolution solve_max_min(const MaxMinProblem& p, const MaxMinOptions& opts,
                              MaxMinContext* ctx) {
   if (static_cast<int>(p.rate.size()) <= opts.lp_job_threshold) {
-    MaxMinSolution sol = solve_max_min_lp(p, opts.max_lp_iterations, opts.engine, ctx);
+    MaxMinSolution sol = solve_max_min_lp(p, opts.max_lp_iterations, ctx);
     if (sol.feasible) return sol;
-    // LP hit the iteration limit (rare): fall through to the heuristic.
+    // LP ended non-optimal (rare): fall through to the heuristic.
   }
   return solve_max_min_filling(p);
 }
 
 namespace {
 
-MaxMinSolution solve_max_sum_lp(const MaxMinProblem& p, int max_iterations, LpEngine engine,
+MaxMinSolution solve_max_sum_lp(const MaxMinProblem& p, int max_iterations,
                                 MaxMinContext* ctx) {
-  refresh_cap_signature(ctx, p);
   const int J = static_cast<int>(p.rate.size());
   const int R = static_cast<int>(p.cap.size());
   MaxMinSolution sol;
@@ -328,8 +309,8 @@ MaxMinSolution solve_max_sum_lp(const MaxMinProblem& p, int max_iterations, LpEn
     lp.add_constraint_sparse(row, Relation::kLessEqual, p.cap[static_cast<std::size_t>(r)]);
     labels.row.push_back(-(r + 1));
   }
-  const LpSolution lsol = solve_dispatch(lp, labels, max_iterations, engine,
-                                         ctx != nullptr ? &ctx->max_sum : nullptr);
+  const LpSolution lsol =
+      solve_lp(lp, labels, max_iterations, ctx != nullptr ? &ctx->max_sum : nullptr);
   if (lsol.status != LpStatus::kOptimal) return sol;
   sol.feasible = true;
   double min_norm = std::numeric_limits<double>::infinity();
@@ -398,7 +379,7 @@ MaxMinSolution solve_max_sum(const MaxMinProblem& p, const MaxMinOptions& opts,
                              MaxMinContext* ctx) {
   check(p);
   if (static_cast<int>(p.rate.size()) <= opts.lp_job_threshold) {
-    MaxMinSolution sol = solve_max_sum_lp(p, opts.max_lp_iterations, opts.engine, ctx);
+    MaxMinSolution sol = solve_max_sum_lp(p, opts.max_lp_iterations, ctx);
     if (sol.feasible) return sol;
   }
   return solve_max_sum_greedy(p);

@@ -7,10 +7,11 @@
 //        sum_j Y[j][r] * demand[j] <= cap[r]  for every type
 //        Y >= 0
 //
-// Two engines: an exact LP (two-phase simplex; used for small job counts)
-// and an event-driven progressive-filling heuristic (linear-time per event;
-// used beyond `lp_job_threshold`, mirroring how Gavel falls back to faster
-// approximations at scale).
+// Two solvers: an exact LP (the sparse revised simplex, warm-started across
+// events; used for small job counts) and an event-driven progressive-filling
+// heuristic (linear-time per event; used beyond `lp_job_threshold`, mirroring
+// how Gavel falls back to faster approximations at scale). An LP solve that
+// ends non-optimal also falls through to the heuristic.
 #pragma once
 
 #include <cstdint>
@@ -38,27 +39,18 @@ struct MaxMinProblem {
   std::vector<std::int64_t> key;
 };
 
-/// Which LP engine backs the exact solves.
-enum class LpEngine {
-  kDense,    ///< two-phase tableau (lp.cpp) — the verification fallback
-  kRevised,  ///< sparse revised simplex with optional warm start (default)
-};
-
 /// Warm-start state carried across successive solves of the same problem
 /// family (one LpContext per LP shape). Owned by the caller (e.g. the Gavel
-/// scheduler); pass nullptr for context-free solves.
+/// scheduler, which clears it whenever the capacities change); pass nullptr
+/// for context-free solves. A saved basis that no longer fits the LP falls
+/// back to a cold start inside LpContext::solve.
 struct MaxMinContext {
   LpContext max_min;
   LpContext max_sum;
-  /// Capacity vector of the last solve. The solvers drop the warm bases
-  /// automatically when `cap` changes (cluster shrink/grow): a basis that
-  /// was optimal for different capacities may be infeasible for the new LP.
-  std::vector<double> cap_signature;
 
   void clear() {
     max_min.clear();
     max_sum.clear();
-    cap_signature.clear();
   }
 };
 
@@ -72,14 +64,12 @@ struct MaxMinSolution {
 struct MaxMinOptions {
   int lp_job_threshold = 96;  ///< above this many jobs, use the heuristic
   int max_lp_iterations = 200000;
-  LpEngine engine = LpEngine::kRevised;
 };
 
-/// Solves with the exact LP regardless of size. A non-optimal outcome from
-/// the revised engine (iteration limit, numerically lost basis) retries once
-/// on the dense tableau before reporting infeasible.
+/// Solves with the exact LP regardless of size. A non-optimal outcome
+/// (iteration limit, numerically lost basis) reports feasible = false and
+/// bumps the `lp.non_optimal` counter.
 MaxMinSolution solve_max_min_lp(const MaxMinProblem& p, int max_iterations = 200000,
-                                LpEngine engine = LpEngine::kRevised,
                                 MaxMinContext* ctx = nullptr);
 
 /// Progressive-filling heuristic: every job draws time on its fastest

@@ -11,8 +11,8 @@ namespace hadar::solver {
 namespace {
 
 // Feasibility / canonicalization tolerances (looser than the pivot eps:
-// they judge *values*, not pivot magnitudes — mirrors the dense solver's
-// 1e-7 artificial-sum test).
+// they judge *values*, not pivot magnitudes — the same 1e-7 artificial-sum
+// test as the dense oracle in tests/).
 constexpr double kFeasTol = 1e-7;
 constexpr double kCanonTol = 1e-7;
 // Product-form updates accumulate roundoff; refresh the explicit inverse
@@ -39,7 +39,7 @@ double secondary_weight(int j) {
 }
 
 // Revised simplex over the standard form  max c^T x, A x = b (b >= 0),
-// x >= 0, built once per solve. Column layout matches the dense tableau:
+// x >= 0, built once per solve. Column layout matches the dense test oracle:
 // [structural | slack/surplus | artificial], except that here EVERY row owns
 // an artificial column (art_first_ + row) so a warm crash always has a unit
 // column available for rows it cannot cover. Artificials for rows that never
@@ -484,7 +484,7 @@ class RevisedEngine {
   }
 
   // Bland's rule iteration for one phase. `allow_artificials` admits the
-  // real artificial columns (phase 1 mirrors the dense solver, where
+  // real artificial columns (phase 1 mirrors the dense test oracle, where
   // artificials stay enterable until phase 2 bars them).
   LpStatus iterate(const std::vector<double>& cost, bool allow_artificials,
                    std::uint64_t* pivot_counter, RevisedStats* stats) {
@@ -507,7 +507,7 @@ class RevisedEngine {
 
       ftran(q);
       // Ratio test; ties (within eps) leave the smallest basis index, the
-      // same rule as the dense tableau.
+      // same rule as the dense test oracle.
       int r = -1;
       double best = 0.0;
       for (int i = 0; i < m_; ++i) {
@@ -875,13 +875,6 @@ LpSolution LpContext::solve(const LpProblem& lp, const LpLabels& labels,
     clear();
   }
   return sol;
-}
-
-LpSolution LpContext::solve(const LpProblem& lp, const SimplexOptions& opts) {
-  clear();
-  RevisedEngine eng(lp, opts);
-  bool warm_used = false;
-  return eng.run(nullptr, &stats_, &warm_used);
 }
 
 void LpContext::clear() {

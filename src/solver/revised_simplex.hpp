@@ -1,8 +1,8 @@
 // Sparse revised simplex with warm-start contexts.
 //
-// The dense tableau in lp.cpp updates an m x n tableau per pivot; the Gavel
-// allocation LPs are ~95% zeros, so this engine keeps the constraint matrix
-// in sparse column form and maintains only an explicit basis inverse B^-1
+// The only LP engine in the library. A dense tableau would update an m x n
+// matrix per pivot; the Gavel allocation LPs are ~95% zeros, so this engine
+// keeps the constraint matrix in sparse column form and maintains only an explicit basis inverse B^-1
 // (m x m), updated per pivot with the product-form (eta) transformation and
 // refactorized periodically for numerical health.
 //
@@ -65,9 +65,6 @@ class LpContext {
   /// is saved for the next call; any other status clears the context.
   LpSolution solve(const LpProblem& lp, const LpLabels& labels,
                    const SimplexOptions& opts = {});
-
-  /// Cold solve that also resets the saved basis (no labels to remember).
-  LpSolution solve(const LpProblem& lp, const SimplexOptions& opts = {});
 
   /// Forgets the saved basis (stats are kept).
   void clear();

@@ -4,11 +4,11 @@
 // blocking), SRTF, and the shared placement helpers.
 #include <gtest/gtest.h>
 
-#include "baselines/alloc_util.hpp"
 #include "baselines/gavel.hpp"
 #include "baselines/srtf.hpp"
 #include "baselines/tiresias.hpp"
 #include "baselines/yarn_cs.hpp"
+#include "cluster/placement.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -26,12 +26,12 @@ const ClusterSpec& sim_spec() {
   return spec;
 }
 
-// ----------------------------------------------------------- alloc_util ----
+// ------------------------------------------------------ cluster/placement ----
 
 TEST(AllocUtil, HomogeneousConsolidatesOnDensestNodes) {
   ClusterState st(&sim_spec());
   st.allocate(JobAllocation({{0, 0, 3}}));  // node 0 has 1 V100 left
-  const auto a = take_homogeneous(st, 0, 6);
+  const auto a = cluster::take_homogeneous(st, 0, 6);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->total_workers(), 6);
   EXPECT_EQ(a->types_used(), 1);
@@ -40,24 +40,24 @@ TEST(AllocUtil, HomogeneousConsolidatesOnDensestNodes) {
 
 TEST(AllocUtil, HomogeneousFailsWhenTypeExhausted) {
   ClusterState st(&sim_spec());
-  EXPECT_FALSE(take_homogeneous(st, 0, 21).has_value());  // only 20 V100s
-  EXPECT_FALSE(take_homogeneous(st, -1, 1).has_value());
-  EXPECT_FALSE(take_homogeneous(st, 0, 0).has_value());
+  EXPECT_FALSE(cluster::take_homogeneous(st, 0, 21).has_value());  // only 20 V100s
+  EXPECT_FALSE(cluster::take_homogeneous(st, -1, 1).has_value());
+  EXPECT_FALSE(cluster::take_homogeneous(st, 0, 0).has_value());
 }
 
 TEST(AllocUtil, TypeOrderSpillsOver) {
   ClusterState st(&sim_spec());
-  const auto a = take_in_type_order(st, {0, 1}, 22);  // 20 V100 + 2 P100
+  const auto a = cluster::take_in_type_order(st, {0, 1}, 22);  // 20 V100 + 2 P100
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->workers_of_type(0), 20);
   EXPECT_EQ(a->workers_of_type(1), 2);
-  EXPECT_FALSE(take_in_type_order(st, {0}, 22).has_value());
+  EXPECT_FALSE(cluster::take_in_type_order(st, {0}, 22).has_value());
 }
 
 TEST(AllocUtil, UnawarePrefersSinglePool) {
   ClusterState st(&sim_spec());
   st.allocate(JobAllocation({{0, 0, 4}, {1, 0, 4}}));  // V100: 12 free
-  const auto a = take_unaware(st, {0, 1, 2}, 10);
+  const auto a = cluster::take_unaware(st, {0, 1, 2}, 10);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->types_used(), 1);  // P100 or K80 pool (20 free) fits whole gang
   EXPECT_NE(a->workers_of_type(0), 10);
@@ -67,7 +67,7 @@ TEST(AllocUtil, UnawareMixesOnlyWhenForced) {
   auto spec = ClusterSpec::from_counts(GpuTypeRegistry::simulation_default(),
                                        {{std::vector<int>{2, 2, 1}}});
   ClusterState st(&spec);
-  const auto a = take_unaware(st, {0, 1, 2}, 4);
+  const auto a = cluster::take_unaware(st, {0, 1, 2}, 4);
   ASSERT_TRUE(a.has_value());
   EXPECT_GT(a->types_used(), 1);  // no single pool holds 4
 }
@@ -142,6 +142,18 @@ TEST(Gavel, RotatesAcrossTypesOverRounds) {
     }
   }
   EXPECT_GE(seen.size(), 1u);  // scheduled at all
+}
+
+TEST(Gavel, RejectsContextWithoutEpochs) {
+  ContextBuilder b(&sim_spec());
+  b.add_job(2, 1e6, {3.0, 1.4, 0.3});
+  auto ctx = b.build();
+  GavelScheduler sched;
+  ctx.jobs_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
+  ctx.jobs_epoch = 1;
+  ctx.cluster_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
 }
 
 TEST(Gavel, ResetClearsCache) {
@@ -365,9 +377,22 @@ TEST(YarnCs, DropsFinishedJobs) {
   // Job 3 finishes: next context lacks it; job 15 must now be admitted.
   sim::SchedulerContext ctx2 = ctx_all;
   ctx2.jobs.erase(ctx2.jobs.begin() + 3);
+  ++ctx2.jobs_epoch;
   const auto second = sched.schedule(ctx2);
   EXPECT_FALSE(second.count(3));
   EXPECT_TRUE(second.count(15));
+}
+
+TEST(YarnCs, RejectsContextWithoutEpochs) {
+  ContextBuilder b(&sim_spec());
+  b.add_job(4, 1e9, {3.0, 1.4, 0.3});
+  auto ctx = b.build();
+  YarnCsScheduler sched;
+  ctx.jobs_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
+  ctx.jobs_epoch = 1;
+  ctx.cluster_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
 }
 
 TEST(YarnCs, BackfillLetsFittersJumpTheBlockedHead) {

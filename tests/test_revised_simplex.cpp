@@ -1,8 +1,8 @@
 // Equivalence suite for the sparse revised simplex engine: randomized
-// Gavel-shaped LPs where the dense tableau and the revised engine (cold and
-// warm-started) must agree on status and objective to 1e-7, plus
-// degenerate/cycling instances, infeasible-after-warm-start, general
-// relation coverage, and the sparse-row construction API.
+// Gavel-shaped LPs where the dense test oracle (lp_oracle.hpp) and the
+// revised engine (cold and warm-started) must agree on status and objective
+// to 1e-7, plus degenerate/cycling instances, infeasible-after-warm-start,
+// general relation coverage, and the sparse-row construction API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "lp_oracle.hpp"
 #include "solver/lp.hpp"
 #include "solver/maxmin.hpp"
 #include "solver/revised_simplex.hpp"
@@ -89,7 +90,7 @@ void remove_job(GavelInstance& g, int j) {
   g.demand.erase(g.demand.begin() + j);
 }
 
-// ------------------------------------------------- dense vs revised cold ----
+// ------------------------------------------ dense oracle vs revised cold ----
 
 TEST(RevisedSimplex, MatchesDenseOnRandomGavelShapedLps) {
   common::Rng rng(2024);
@@ -98,7 +99,7 @@ TEST(RevisedSimplex, MatchesDenseOnRandomGavelShapedLps) {
     LpProblem lp(1);
     LpLabels labels;
     g.build(lp, labels);
-    const auto dense = solve(lp);
+    const auto dense = test::solve_dense(lp);
     const auto revised = solve_revised(lp);
     ASSERT_EQ(dense.status, LpStatus::kOptimal) << "trial " << trial;
     ASSERT_EQ(revised.status, LpStatus::kOptimal) << "trial " << trial;
@@ -114,7 +115,7 @@ TEST(RevisedSimplex, MatchesDenseOnGeneralRelations) {
   lp.add_constraint({1.0, 1.0}, Relation::kLessEqual, 10.0);
   lp.add_constraint({1.0, 0.0}, Relation::kGreaterEqual, 2.0);
   lp.add_constraint({0.0, 1.0}, Relation::kEqual, 3.0);
-  const auto dense = solve(lp);
+  const auto dense = test::solve_dense(lp);
   const auto revised = solve_revised(lp);
   ASSERT_EQ(revised.status, LpStatus::kOptimal);
   EXPECT_NEAR(revised.objective, 23.0, kTol);
@@ -163,7 +164,7 @@ TEST(RevisedSimplex, SurvivesDegenerateCyclingInstance) {
   lp.add_constraint({0.25, -60.0, -0.04, 9.0}, Relation::kLessEqual, 0.0);
   lp.add_constraint({0.5, -90.0, -0.02, 3.0}, Relation::kLessEqual, 0.0);
   lp.add_constraint({0.0, 0.0, 1.0, 0.0}, Relation::kLessEqual, 1.0);
-  const auto dense = solve(lp);
+  const auto dense = test::solve_dense(lp);
   const auto revised = solve_revised(lp);
   ASSERT_EQ(revised.status, LpStatus::kOptimal);
   EXPECT_NEAR(revised.objective, 0.05, kTol);
@@ -184,7 +185,7 @@ TEST(RevisedSimplex, WarmStartAgreesWithColdAcrossEventStream) {
       g.build(lp, labels);
       const auto warm = ctx.solve(lp, labels);
       const auto cold = solve_revised(lp);
-      const auto dense = solve(lp);
+      const auto dense = test::solve_dense(lp);
       ASSERT_EQ(warm.status, LpStatus::kOptimal);
       ASSERT_EQ(cold.status, LpStatus::kOptimal);
       EXPECT_NEAR(warm.objective, dense.objective, kTol);
@@ -322,8 +323,8 @@ TEST(SparseRows, SparseAndDenseConstructionSolveIdentically) {
   sparse_lp.add_constraint_sparse({{0, 1.0}, {2, 1.0}}, Relation::kLessEqual, 4.0);
   sparse_lp.add_constraint_sparse({{1, 1.0}, {2, 2.0}}, Relation::kLessEqual, 6.0);
 
-  const auto a = solve(dense_lp);
-  const auto b = solve(sparse_lp);
+  const auto a = solve_revised(dense_lp);
+  const auto b = solve_revised(sparse_lp);
   ASSERT_EQ(a.status, LpStatus::kOptimal);
   EXPECT_EQ(a.objective, b.objective);
   EXPECT_EQ(a.x, b.x);
@@ -331,6 +332,31 @@ TEST(SparseRows, SparseAndDenseConstructionSolveIdentically) {
 
 // ----------------------------------------------- max-min engine parity ----
 
+// The max-sum LP of `g` as solver::solve_max_sum builds it (all scales 1):
+// variables Y(j,r), one time row per job, one capacity row per type.
+LpProblem max_sum_lp(const GavelInstance& g) {
+  LpProblem lp(g.J() * g.R());
+  for (int j = 0; j < g.J(); ++j) {
+    std::vector<SparseEntry> row;
+    for (int r = 0; r < g.R(); ++r) {
+      lp.set_objective(j * g.R() + r,
+                       g.rate[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]);
+      row.push_back({j * g.R() + r, 1.0});
+    }
+    lp.add_constraint_sparse(row, Relation::kLessEqual, 1.0);
+  }
+  for (int r = 0; r < g.R(); ++r) {
+    std::vector<SparseEntry> row;
+    for (int j = 0; j < g.J(); ++j) {
+      row.push_back({j * g.R() + r, g.demand[static_cast<std::size_t>(j)]});
+    }
+    lp.add_constraint_sparse(row, Relation::kLessEqual, g.p_cap(r));
+  }
+  return lp;
+}
+
+// The production MaxMinOptions-level solves must reach the dense oracle's
+// optimum for both Gavel objectives.
 TEST(MaxMinEngines, DenseAndRevisedAgree) {
   common::Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
@@ -341,31 +367,29 @@ TEST(MaxMinEngines, DenseAndRevisedAgree) {
     p.cap = g.cap;
     p.key = g.keys;
 
-    MaxMinOptions dense_opts;
-    dense_opts.engine = LpEngine::kDense;
-    MaxMinOptions revised_opts;
-    revised_opts.engine = LpEngine::kRevised;
+    const auto fair = solve_max_min(p, MaxMinOptions{});
+    ASSERT_TRUE(fair.feasible);
+    LpProblem lp(1);
+    LpLabels labels;
+    g.build(lp, labels);
+    const auto dense_fair = test::solve_dense(lp);
+    ASSERT_EQ(dense_fair.status, LpStatus::kOptimal);
+    EXPECT_NEAR(fair.min_normalized_throughput, dense_fair.objective, kTol);
 
-    const auto a = solve_max_min(p, dense_opts);
-    const auto b = solve_max_min(p, revised_opts);
-    ASSERT_EQ(a.feasible, b.feasible);
-    EXPECT_NEAR(a.min_normalized_throughput, b.min_normalized_throughput, kTol);
-
-    const auto sa = solve_max_sum(p, dense_opts);
-    const auto sb = solve_max_sum(p, revised_opts);
-    ASSERT_EQ(sa.feasible, sb.feasible);
+    const auto sum = solve_max_sum(p, MaxMinOptions{});
+    ASSERT_TRUE(sum.feasible);
+    const auto dense_sum = test::solve_dense(max_sum_lp(g));
+    ASSERT_EQ(dense_sum.status, LpStatus::kOptimal);
     // max-sum reports the min normalized throughput of its solution, which
     // can differ between optimal vertices; compare the objective instead.
-    double obj_a = 0.0, obj_b = 0.0;
+    double obj = 0.0;
     for (int j = 0; j < g.J(); ++j) {
       for (int r = 0; r < g.R(); ++r) {
-        obj_a += sa.y[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] *
-                 g.rate[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)];
-        obj_b += sb.y[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] *
-                 g.rate[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)];
+        obj += sum.y[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] *
+               g.rate[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)];
       }
     }
-    EXPECT_NEAR(obj_a, obj_b, 1e-6);
+    EXPECT_NEAR(obj, dense_sum.objective, 1e-6);
   }
 }
 

@@ -276,10 +276,48 @@ TEST(Sharding, SaveRestoreReproducesDecisions) {
   EXPECT_EQ(a, b);
 }
 
+// Persisted state is read back only by the build that wrote it (DESIGN.md
+// §11): a well-formed payload in the retired version-1 layout is rejected,
+// not migrated.
+TEST(Sharding, RestoreRejectsVersionOneState) {
+  ShardConfig shard;
+  shard.cells = 3;
+  const auto factory = [] { return runner::make_flat_scheduler("tiresias"); };
+  common::BinaryWriter w;
+  w.u8(1);   // version 1: entries without arrival guards
+  w.i32(1);  // one resolved cell: the flat policy's state follows
+  w.u64(1);  // topology version
+  w.i64(0);  // migrations
+  w.u32(0);  // sticky-routing entries
+  w.u32(0);  // starvation entries
+  factory()->save_state(w);
+
+  ShardedScheduler sched(factory, shard);
+  common::BinaryReader r(w.data());
+  EXPECT_THROW(sched.restore_state(r), std::runtime_error);
+}
+
+TEST(Sharding, RejectsContextWithoutEpochs) {
+  const ClusterSpec spec = ClusterSpec::scaled(4);  // 12 nodes
+  ContextBuilder builder(&spec);
+  builder.add_job(2, 1e5, {8.0, 4.0, 2.0});
+  auto ctx = builder.build();
+
+  ShardConfig shard;
+  shard.cells = 2;
+  ShardedScheduler sched([] { return runner::make_flat_scheduler("hadar"); }, shard);
+  ctx.jobs_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
+  ctx.jobs_epoch = 1;
+  ctx.cluster_epoch = 0;
+  EXPECT_THROW(sched.schedule(ctx), std::invalid_argument);
+}
+
 // ---------------------------------------------------------- bookkeeping ----
 
 // Owns JobSpecs with caller-chosen ids and arrivals (ContextBuilder always
-// numbers jobs from zero), so churn and id recycling are expressible.
+// numbers jobs from zero), so churn and id recycling are expressible. The
+// caller passes the jobs_epoch, bumping it whenever it changes the job set.
 class ChurnContext {
  public:
   explicit ChurnContext(const ClusterSpec* spec) : spec_(spec) {}
@@ -297,11 +335,13 @@ class ChurnContext {
     return *this;
   }
 
-  sim::SchedulerContext build(Seconds now) const {
+  sim::SchedulerContext build(Seconds now, std::uint64_t jobs_epoch) const {
     sim::SchedulerContext ctx;
     ctx.spec = spec_;
     ctx.now = now;
     ctx.round_length = 360.0;
+    ctx.jobs_epoch = jobs_epoch;
+    ctx.cluster_epoch = 1;
     for (const auto& s : specs_) {
       sim::JobView v;
       v.spec = s.get();
@@ -340,7 +380,7 @@ TEST(Sharding, ChurnWorkloadKeepsBookkeepingStateBounded) {
     ChurnContext cc(&spec);
     cc.add(100000, 0.0, 64);  // unplaceable: exceeds the whole cluster
     for (int k = 0; k < 5; ++k) cc.add(next_id++, round * 360.0, 1 + k % 3);
-    const auto ctx = cc.build(round * 360.0);
+    const auto ctx = cc.build(round * 360.0, static_cast<std::uint64_t>(round) + 1);
     (void)sched.schedule(ctx);
     if (round == 19) mid = state_bytes();
   }
@@ -368,7 +408,7 @@ TEST(Sharding, RecycledJobIdGetsFreshRoutingAndStarvationCounter) {
   for (int round = 1; round <= 3; ++round) {
     ChurnContext cc(&spec);
     cc.add(7, 0.0, 20);
-    (void)sched.schedule(cc.build(round * 360.0));
+    (void)sched.schedule(cc.build(round * 360.0, 1));
     EXPECT_EQ(sched.starved_rounds(7), round);
   }
 
@@ -377,7 +417,7 @@ TEST(Sharding, RecycledJobIdGetsFreshRoutingAndStarvationCounter) {
   {
     ChurnContext cc(&spec);
     cc.add(7, 1000.0, 20);
-    (void)sched.schedule(cc.build(4 * 360.0));
+    (void)sched.schedule(cc.build(4 * 360.0, 2));
     EXPECT_EQ(sched.starved_rounds(7), 1);
   }
 
@@ -391,7 +431,7 @@ TEST(Sharding, RecycledJobIdGetsFreshRoutingAndStarvationCounter) {
     ChurnContext cc(&spec);
     cc.add(3, 0.0, 8);  // ties break low: routed to cell 0
     cc.add(7, 0.0, 2);  // load 8 vs 0: routed to cell 1
-    (void)sched.schedule(cc.build(360.0));
+    (void)sched.schedule(cc.build(360.0, 3));
     EXPECT_EQ(sched.cell_of_job(3), 0);
     EXPECT_EQ(sched.cell_of_job(7), 1);
   }
@@ -400,7 +440,7 @@ TEST(Sharding, RecycledJobIdGetsFreshRoutingAndStarvationCounter) {
     cc.add(9, 2000.0, 8);   // cell 0 (tie)
     cc.add(10, 2000.0, 8);  // cell 1
     cc.add(7, 2000.0, 2);   // recycled id: fresh tie-break -> cell 0
-    (void)sched.schedule(cc.build(2160.0));
+    (void)sched.schedule(cc.build(2160.0, 4));
     EXPECT_EQ(sched.cell_of_job(7), 0);
   }
 }

@@ -1,17 +1,32 @@
-// Unit tests for the LP solver (two-phase simplex) and the max-min
-// allocation solvers, including LP-vs-heuristic agreement checks.
+// Unit tests for the LP solver (the production revised simplex, each
+// textbook instance cross-checked against the dense test oracle) and the
+// max-min allocation solvers, including LP-vs-heuristic agreement checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "lp_oracle.hpp"
 #include "solver/lp.hpp"
 #include "solver/maxmin.hpp"
+#include "solver/revised_simplex.hpp"
 
 namespace hadar::solver {
 namespace {
 
 // ------------------------------------------------------------------ LP ----
+
+// Solves with the production engine and requires the dense oracle to agree
+// on status and (when optimal) objective.
+LpSolution solve(const LpProblem& lp) {
+  const LpSolution sol = solve_revised(lp);
+  const LpSolution oracle = test::solve_dense(lp);
+  EXPECT_EQ(sol.status, oracle.status);
+  if (sol.status == LpStatus::kOptimal && oracle.status == LpStatus::kOptimal) {
+    EXPECT_NEAR(sol.objective, oracle.objective, 1e-7);
+  }
+  return sol;
+}
 
 TEST(Lp, SolvesTextbookMaximization) {
   // max 3x + 5y  s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  => x=2, y=6, obj=36.

@@ -11,7 +11,10 @@
 
 namespace hadar::test {
 
-/// Owns JobSpecs and builds a SchedulerContext over them.
+/// Owns JobSpecs and builds a SchedulerContext over them. Every built
+/// context carries nonzero epochs: jobs_epoch changes exactly when add_job()
+/// changes the job set, and cluster_epoch stays 1 (the spec never changes).
+/// A test that edits ctx.jobs by hand bumps ctx.jobs_epoch itself.
 class ContextBuilder {
  public:
   explicit ContextBuilder(const cluster::ClusterSpec* spec) : spec_(spec) {}
@@ -60,6 +63,8 @@ class ContextBuilder {
     ctx.spec = spec_;
     ctx.now = now;
     ctx.round_length = round_length;
+    ctx.jobs_epoch = specs_.size() + 1;
+    ctx.cluster_epoch = 1;
     for (std::size_t i = 0; i < specs_.size(); ++i) {
       sim::JobView v;
       v.spec = specs_[i].get();
